@@ -19,11 +19,12 @@ import (
 // window, and packs their rows into shared forwards up to the device batch
 // cap. One fused batch pays one dispatch for rows from many queries.
 //
-// Fusion preserves byte-identical result streams by construction: each
-// request's rows are computed by exactly the same model calls on exactly the
-// same inputs as the per-query path (ScoreBatch on sub-slices, Prefill,
-// Extend, AllPositionLogProbs) — the scheduler changes only when and with
-// whom a row shares a dispatch, never what is computed. The device already
+// Fusion preserves byte-identical result streams by construction: fused and
+// unfused calls alike execute through one routine (core.run, which scores
+// every row in segment.exec), so each request's rows are computed by exactly
+// the same model calls on exactly the same inputs whether or not the
+// scheduler admits it — the scheduler changes only when and with whom a row
+// shares a dispatch, never what is computed. The device already
 // relies on this row-independence to shard chunks across the worker pool;
 // the batcher extends the same invariant across queries. Per-query cache and
 // KV attribution survive because every request scores through the view that
@@ -69,10 +70,10 @@ type Batcher struct {
 
 	// Circuit breaker (guarded by mu). Consecutive failed fused dispatches —
 	// a row panicking, or an injected batcher fault — trip the breaker; while
-	// open, enqueue refuses admission and callers fall back to the device's
-	// direct per-query dispatch path, which still computes byte-identical
-	// results. After the cooldown one probe request is admitted (half-open):
-	// success closes the breaker, failure re-trips it.
+	// open, enqueue refuses admission and each caller runs its own request as
+	// an unfused batch on the same executor, which still computes
+	// byte-identical results. After the cooldown one probe request is
+	// admitted (half-open): success closes the breaker, failure re-trips it.
 	breakerFails int
 	breakerOpen  bool
 	breakerUntil time.Time
@@ -103,7 +104,7 @@ type BatcherConfig struct {
 	Quantum int
 	// BreakerThreshold is the number of consecutive failed fused dispatches
 	// that trips the circuit breaker (default 3). While open the batcher sheds
-	// admissions and queries run the direct dispatch path.
+	// admissions and each caller runs its own request as an unfused batch.
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker sheds before admitting a
 	// half-open probe (default 250ms).
@@ -155,8 +156,9 @@ type BatcherStats struct {
 	// even service.
 	FairnessDeficit int64
 	// BreakerState is "closed" (fusing normally, including half-open probing)
-	// or "open" (shedding to the direct dispatch path). BreakerTrips counts
-	// closed→open transitions; BreakerShed counts requests refused while open.
+	// or "open" (shedding: callers run their requests as unfused batches).
+	// BreakerTrips counts closed→open transitions; BreakerShed counts
+	// requests refused while open.
 	BreakerState string
 	BreakerTrips int64
 	BreakerShed  int64
@@ -180,8 +182,9 @@ const (
 )
 
 // request is one view's scoring call, split into rows the scheduler may
-// spread across several fused batches. The submitting goroutine blocks on
-// done until every row has executed.
+// spread across several fused batches — or, when no scheduler admits it,
+// into the MaxBatch-sized unfused batches its caller runs. A submitting
+// goroutine blocks on done until every row has executed.
 type request struct {
 	kind reqKind
 	lm   model.LanguageModel
@@ -232,8 +235,8 @@ func (r *request) rowCount() int {
 	return len(r.ctxs)
 }
 
-// tokensAt prices row i the way the direct dispatch paths do: full context
-// for forward/prefill/scoreAll rows, one token for an extend row.
+// tokensAt prices row i for the latency model: full context for
+// forward/prefill/scoreAll rows, one token for an extend row.
 func (r *request) tokensAt(i int) int {
 	if r.kind == reqExtend {
 		return 1
@@ -273,8 +276,8 @@ func StartBatcher(d *Device, cfg BatcherConfig) *Batcher {
 }
 
 // Close detaches the batcher from its device, drains every pending request,
-// and stops the scheduler goroutine. Calls that arrive after Close fall back
-// to the device's direct dispatch path, so shutdown never strands a query.
+// and stops the scheduler goroutine. A caller arriving after Close runs its
+// request as an unfused batch, so shutdown never strands a query.
 // Safe to call multiple times and concurrently with submissions.
 func (b *Batcher) Close() {
 	b.core.batcher.CompareAndSwap(b, nil)
@@ -316,14 +319,14 @@ func (b *Batcher) Stats() BatcherStats {
 
 // submit enqueues the view's request and blocks until every row has
 // executed. It reports false without executing anything when the batcher is
-// closed — the caller then runs the direct path. A panic inside any of the
-// request's rows re-panics here, in the submitting query's goroutine.
+// closed or its breaker sheds — the caller then runs the request as an
+// unfused batch (Device.dispatch), which also re-raises any row panic
+// recorded on the request.
 func (b *Batcher) submit(d *Device, r *request) bool {
 	n := r.rowCount()
 	if n == 0 {
 		return true
 	}
-	r.lm = d.lm
 	r.qos = d.qos
 	r.enq = time.Now()
 	r.remaining = n
@@ -342,9 +345,6 @@ func (b *Batcher) submit(d *Device, r *request) bool {
 	default:
 	}
 	<-r.done
-	if r.panicked {
-		panic(r.panicVal)
-	}
 	return true
 }
 
@@ -505,6 +505,15 @@ type fusedBatch struct {
 	queries int
 }
 
+// add packs rows [lo, hi) of r into the batch as one segment.
+func (fb *fusedBatch) add(r *request, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		fb.tokens += r.tokensAt(i)
+	}
+	fb.segs = append(fb.segs, segment{req: r, lo: lo, hi: hi})
+	fb.rows += hi - lo
+}
+
 // selectLocked packs up to cap rows into one fused batch. Urgent requests go
 // first (earliest deadline), then deficit fair-share across queries.
 func (b *Batcher) selectLocked(now time.Time, cap int) *fusedBatch {
@@ -534,11 +543,7 @@ func (b *Batcher) selectLocked(now time.Time, cap int) *fusedBatch {
 				rt.batches = append(rt.batches, id)
 			}
 		}
-		for i := lo; i < hi; i++ {
-			fb.tokens += r.tokensAt(i)
-		}
-		fb.segs = append(fb.segs, segment{req: r, lo: lo, hi: hi})
-		fb.rows += take
+		fb.add(r, lo, hi)
 		if !seen[q.key] {
 			seen[q.key] = true
 			fb.queries++
@@ -600,11 +605,10 @@ func (b *Batcher) pickLocked(now time.Time) (*queryQueue, bool) {
 	return best, false
 }
 
-// execute charges the latency model once for the fused batch, runs every
-// segment through its own request's model (sharded across the worker pool),
-// and completes requests whose last rows just executed. Panics inside a
-// segment are captured per request and re-raised in the submitting
-// goroutine, never in the scheduler or a pool worker.
+// execute runs one fused batch on the device executor and completes the
+// requests whose last rows just executed. Panics inside a segment are
+// captured per request and re-raised in the submitting goroutine, never in
+// the scheduler or a pool worker.
 func (b *Batcher) execute(fb *fusedBatch) {
 	if f := fault.Hit(fault.BatcherExecute); f != nil && f.Failure() {
 		// The fused dispatch itself fails: every participating request gets
@@ -618,7 +622,18 @@ func (b *Batcher) execute(fb *fusedBatch) {
 		b.noteDispatch(true)
 		return
 	}
-	c := b.core
+	failed := b.core.run(fb)
+	b.finish(fb)
+	b.noteDispatch(failed)
+}
+
+// run is the device executor behind every dispatch, fused or not: it
+// charges the latency model once for fb, advances the shared clock and
+// counters, records the charged interval on every traced request in the
+// batch, and scores the segments sharded across the worker pool. Panics
+// inside a segment are captured per request; run reports whether any row
+// of the batch panicked.
+func (c *core) run(fb *fusedBatch) (failed bool) {
 	cost := c.latency.Cost(fb.rows, fb.tokens)
 	c.mu.Lock()
 	workers := c.workers
@@ -653,16 +668,12 @@ func (b *Batcher) execute(fb *fusedBatch) {
 		runShards(shards, pool)
 	}
 
-	failed := false
 	for _, sg := range fb.segs {
 		sg.req.panicMu.Lock()
-		if sg.req.panicked {
-			failed = true
-		}
+		failed = failed || sg.req.panicked
 		sg.req.panicMu.Unlock()
 	}
-	b.finish(fb)
-	b.noteDispatch(failed)
+	return failed
 }
 
 // finish completes requests whose last rows just executed (or were abandoned
@@ -721,9 +732,9 @@ func (fb *fusedBatch) shards(workers int) []func() {
 	return out
 }
 
-// exec scores one segment through the submitting view's model — the same
-// calls, on the same inputs, as the device's direct dispatch paths, which is
-// what makes fusion result-transparent.
+// exec scores one segment through the submitting view's model. It is the
+// only place a dispatch calls the model, fused or not, which is what makes
+// fusion result-transparent.
 func (sg segment) exec() {
 	r := sg.req
 	defer func() {

@@ -10,7 +10,7 @@ import (
 
 // TestBatcherBreakerDegradeThenRecover drives the fusion circuit breaker
 // through its full cycle: consecutive injected dispatch failures trip it
-// open, an open breaker sheds new work to the caller's direct-dispatch path,
+// open, an open breaker sheds new work back to its caller to run unfused,
 // and after the cooldown a successful half-open probe closes it again.
 func TestBatcherBreakerDegradeThenRecover(t *testing.T) {
 	fault.Enable(fault.New(3).Set(fault.BatcherExecute, fault.Spec{FailN: 3}))
@@ -23,7 +23,7 @@ func TestBatcherBreakerDegradeThenRecover(t *testing.T) {
 	})
 	dispatchOnce := func() *request {
 		r := enqueueRows(b, "q", 2, time.Time{})
-		r.lm = d.lm // submit() would set this; the bare harness must too
+		r.lm = d.lm // dispatch would set this; the bare harness must too
 		b.mu.Lock()
 		fb := b.selectLocked(time.Now(), b.core.maxBatch)
 		b.mu.Unlock()
@@ -49,7 +49,7 @@ func TestBatcherBreakerDegradeThenRecover(t *testing.T) {
 		t.Fatalf("after 3 failed dispatches: state=%s trips=%d, want open/1", st.BreakerState, st.BreakerTrips)
 	}
 
-	// Open: enqueue refuses, so submit would fall back to direct dispatch.
+	// Open: enqueue refuses, so the caller would run the request unfused.
 	shed := &request{
 		kind:      reqForward,
 		key:       "q",
@@ -59,7 +59,7 @@ func TestBatcherBreakerDegradeThenRecover(t *testing.T) {
 		done:      make(chan struct{}),
 	}
 	if b.enqueue(shed) {
-		t.Fatal("open breaker admitted a request; want shed to the direct path")
+		t.Fatal("open breaker admitted a request; want it shed to its caller")
 	}
 	if got := b.Stats().BreakerShed; got != 1 {
 		t.Fatalf("shed count = %d, want 1", got)
@@ -85,7 +85,7 @@ func TestBatcherBreakerDegradeThenRecover(t *testing.T) {
 }
 
 // TestBreakerShedFallsBackToDirectDispatch is the black-box version: with
-// the breaker open, submit reports false and the Device's direct path still
+// the breaker open, submit reports false and the caller's unfused batch still
 // returns correct rows — degraded throughput, identical bytes.
 func TestBreakerShedFallsBackToDirectDispatch(t *testing.T) {
 	fault.Enable(fault.New(5).Set(fault.BatcherExecute, fault.Spec{FailN: 2}))
@@ -106,7 +106,7 @@ func TestBreakerShedFallsBackToDirectDispatch(t *testing.T) {
 	}
 
 	// Attach the (open) batcher to the core: Forward consults it, enqueue
-	// sheds, and the call completes on the direct path.
+	// sheds, and the call completes as an unfused batch.
 	d.c.batcher.Store(b)
 	ctxs := [][]model.Token{{1}, {1, 2}}
 	want := d.lm.ScoreBatch(ctxs)

@@ -328,6 +328,59 @@ func TestBatcherAllKindsMatchDirect(t *testing.T) {
 	if ds, fs := direct.Stats(), fused.Stats(); fs.Tokens != ds.Tokens || fs.Sequences != ds.Sequences {
 		t.Errorf("fused accounting %+v differs from direct %+v", fs, ds)
 	}
+
+	// Shed and after-Close arms: a batcher that refuses admission leaves
+	// each caller to run its own request as an unfused batch. Rows and
+	// states match both arms above; the device accounting matches the
+	// unfused arm exactly (same batches, same clock) and the fused arm's
+	// sequences and tokens.
+	open := newDevice(64)
+	ob := newBareBatcher(open, BatcherConfig{})
+	ob.breakerOpen, ob.breakerUntil = true, time.Now().Add(time.Hour)
+	open.c.batcher.Store(ob)
+	late := newDevice(64)
+	lb := StartBatcher(late, BatcherConfig{})
+	lb.Close()
+	late.c.batcher.Store(lb) // a caller that loaded the batcher before Close
+	for _, arm := range []struct {
+		name string
+		d    *Device
+		b    *Batcher
+	}{{"breaker-open", open, ob}, {"after-Close", late, lb}} {
+		aStates, aRows := arm.d.Prefill(ctxs)
+		aExtStates, aExtRows := arm.d.ExtendBatch(aStates, []model.Token{5, 6, 7})
+		if !reflect.DeepEqual(aRows, dRows) || !reflect.DeepEqual(aRows, fRows) {
+			t.Errorf("%s: Prefill rows differ", arm.name)
+		}
+		if !reflect.DeepEqual(aExtRows, dExtRows) || !reflect.DeepEqual(aExtRows, fExtRows) {
+			t.Errorf("%s: ExtendBatch rows differ", arm.name)
+		}
+		if fwd := arm.d.Forward(ctxs); !reflect.DeepEqual(fwd, dFwd) || !reflect.DeepEqual(fwd, fFwd) {
+			t.Errorf("%s: Forward rows differ", arm.name)
+		}
+		if all := arm.d.ScoreAll(seqs); !reflect.DeepEqual(all, dAll) || !reflect.DeepEqual(all, fAll) {
+			t.Errorf("%s: ScoreAll rows differ", arm.name)
+		}
+		for i := range aExtStates {
+			if !reflect.DeepEqual(aExtStates[i].Context(), dExtStates[i].Context()) ||
+				!reflect.DeepEqual(aExtStates[i].Context(), fExtStates[i].Context()) {
+				t.Errorf("%s: extended state %d context differs", arm.name, i)
+			}
+		}
+		as, ds, fs := arm.d.Stats(), direct.Stats(), fused.Stats()
+		if as != ds {
+			t.Errorf("%s: accounting %+v differs from unfused %+v", arm.name, as, ds)
+		}
+		if as.Sequences != fs.Sequences || as.Tokens != fs.Tokens {
+			t.Errorf("%s: accounting %+v differs from fused %+v", arm.name, as, fs)
+		}
+		if bs := arm.b.Stats(); bs.FusedBatches != 0 || bs.Requests != 0 {
+			t.Errorf("%s: refused requests reached the scheduler: %+v", arm.name, bs)
+		}
+	}
+	if got := ob.Stats().BreakerShed; got != 4 {
+		t.Errorf("breaker-open arm shed %d requests, want 4", got)
+	}
 }
 
 // TestBatcherFloodCannotStarve: a continuous flood of cheap single-row

@@ -173,27 +173,37 @@ func (d *Device) MaxBatch() int { return d.c.maxBatch }
 // additionally sharded across the worker pool. Forward is safe for
 // concurrent use, including across views.
 func (d *Device) Forward(ctxs [][]model.Token) [][]float64 {
-	d.inject(fault.DeviceForward)
-	var span trace.SpanID
+	r := &request{kind: reqForward, ctxs: ctxs, rows: make([][]float64, len(ctxs))}
+	d.dispatch(fault.DeviceForward, r)
+	return r.rows
+}
+
+// dispatch is the one execution path behind every entry point; name is
+// both the fault point and the span name. The request goes to the fusion
+// scheduler when one admits it. Otherwise (fusion off, breaker open,
+// batcher closed) the caller runs it as MaxBatch-sized batches of its own
+// on the same executor, core.run, so both paths charge, count, shard,
+// score and trace alike. A panic in any row re-raises here, in the caller.
+func (d *Device) dispatch(name string, r *request) {
+	d.inject(name)
+	r.lm = d.lm
+	span := d.traceStart(name, r)
+	fused := false
 	if b := d.c.batcher.Load(); b != nil {
-		r := &request{kind: reqForward, ctxs: ctxs, rows: make([][]float64, len(ctxs))}
-		span = d.traceFusedStart("device.forward", r)
-		if b.submit(d, r) {
-			if d.tr != nil {
-				d.traceFusedEnd(span, r.trace, len(ctxs), countTokens(ctxs))
-			}
-			return r.rows
+		fused = b.submit(d, r)
+	}
+	if !fused {
+		n := r.rowCount()
+		for lo := 0; lo < n && !r.panicked; lo += d.c.maxBatch {
+			fb := fusedBatch{queries: 1}
+			fb.add(r, lo, min(lo+d.c.maxBatch, n))
+			d.c.run(&fb)
 		}
 	}
-	out := make([][]float64, len(ctxs))
-	span, v0 := d.traceDirectBegin(span, "device.forward")
-	d.runChunks(len(ctxs), func(c []model.Token) int { return len(c) }, ctxs, func(lo, hi int) {
-		copy(out[lo:hi], d.lm.ScoreBatch(ctxs[lo:hi]))
-	})
-	if d.tr != nil {
-		d.traceDirectEnd(span, v0, len(ctxs), countTokens(ctxs))
+	if r.panicked {
+		panic(r.panicVal)
 	}
-	return out
+	d.traceEnd(span, r, fused)
 }
 
 // inject consults the fault registry at a dispatch entry point. Latency
@@ -216,7 +226,8 @@ func (d *Device) inject(point string) {
 }
 
 // runShards executes the shards on the persistent pool when one is attached,
-// or on transient goroutines otherwise.
+// or on transient goroutines otherwise. Shards recover their own panics
+// (fusedBatch.shards), so a bare goroutine never unwinds with one.
 func runShards(shards []func(), pool *Pool) {
 	if pool != nil {
 		pool.Run(shards)

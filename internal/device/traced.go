@@ -2,9 +2,7 @@ package device
 
 import (
 	"strconv"
-	"time"
 
-	"repro/internal/model"
 	"repro/internal/trace"
 )
 
@@ -26,10 +24,10 @@ func (d *Device) WithTrace(tr *trace.Trace, parent trace.SpanID) *Device {
 // it to hang sibling spans off the same parent.
 func (d *Device) TraceContext() (*trace.Trace, trace.SpanID) { return d.tr, d.trParent }
 
-// traceFusedStart opens a dispatch span before the fusion submit (so its
-// wall time covers the queue wait) and arms the request's scheduler-side
-// trace record.
-func (d *Device) traceFusedStart(name string, r *request) trace.SpanID {
+// traceStart opens a dispatch span before the request is submitted (so
+// its wall time covers any queue wait) and arms the request's trace record,
+// which core.run and the scheduler fill in.
+func (d *Device) traceStart(name string, r *request) trace.SpanID {
 	if d.tr == nil {
 		return 0
 	}
@@ -37,62 +35,35 @@ func (d *Device) traceFusedStart(name string, r *request) trace.SpanID {
 	return d.tr.Start(d.trParent, name)
 }
 
-// traceFusedEnd closes a fused dispatch span with what the scheduler
-// recorded while the rows rode the queue. The record was written entirely
-// by the scheduler goroutine before it closed the request's done channel,
-// so reading it here is race-free.
-func (d *Device) traceFusedEnd(span trace.SpanID, rt *reqTrace, seqs, tokens int) {
-	if d.tr == nil || span == 0 {
+// traceEnd closes a dispatch span with the virtual-clock interval from the
+// start of the request's first batch to the end of its last (so a request
+// that fits one batch reports exactly that batch's charge, whatever other
+// views charge meanwhile) plus, when the batcher carried the rows, its
+// record of the ride.
+// The record is complete before the request returns to its caller (the
+// scheduler closes done after writing it; an unfused run writes it on the
+// calling goroutine), so reading it here is race-free.
+func (d *Device) traceEnd(span trace.SpanID, r *request, fused bool) {
+	if span == 0 {
 		return
 	}
+	rt := r.trace
 	if rt.hasV {
 		d.tr.SetVDev(span, rt.vstart, rt.vend)
 	}
-	d.tr.Annotate(span, "fused", "true")
-	for _, bid := range rt.batches {
-		d.tr.Annotate(span, "fusion_batch", strconv.FormatInt(bid, 10))
+	d.tr.Annotate(span, "fused", strconv.FormatBool(fused))
+	if fused {
+		for _, bid := range rt.batches {
+			d.tr.Annotate(span, "fusion_batch", strconv.FormatInt(bid, 10))
+		}
+		d.tr.Annotate(span, "queue_wait_us", strconv.FormatInt(rt.waitUS, 10))
+		d.tr.Annotate(span, "batch_queries", strconv.Itoa(rt.occupancy))
 	}
-	d.tr.Annotate(span, "queue_wait_us", strconv.FormatInt(rt.waitUS, 10))
-	d.tr.Annotate(span, "batch_queries", strconv.Itoa(rt.occupancy))
-	d.tr.Annotate(span, "rows", strconv.Itoa(seqs))
+	n, tokens := r.rowCount(), 0
+	for i := 0; i < n; i++ {
+		tokens += r.tokensAt(i)
+	}
+	d.tr.Annotate(span, "rows", strconv.Itoa(n))
 	d.tr.Annotate(span, "tokens", strconv.Itoa(tokens))
 	d.tr.End(span)
-}
-
-// traceDirectBegin opens a dispatch span for the direct (unfused) path —
-// or adopts one left open by a declined fusion submit — and samples the
-// virtual clock.
-func (d *Device) traceDirectBegin(span trace.SpanID, name string) (trace.SpanID, time.Duration) {
-	if d.tr == nil {
-		return 0, 0
-	}
-	if span == 0 {
-		span = d.tr.Start(d.trParent, name)
-	}
-	return span, d.Clock()
-}
-
-// traceDirectEnd closes a direct dispatch span with the clock interval the
-// dispatch spanned. Under concurrent views the interval can include other
-// views' charges (the clock is shared); for a query run in isolation it is
-// exactly this dispatch's cost, which is what the determinism tests pin.
-func (d *Device) traceDirectEnd(span trace.SpanID, v0 time.Duration, seqs, tokens int) {
-	if d.tr == nil || span == 0 {
-		return
-	}
-	d.tr.SetVDev(span, v0, d.Clock())
-	d.tr.Annotate(span, "fused", "false")
-	d.tr.Annotate(span, "rows", strconv.Itoa(seqs))
-	d.tr.Annotate(span, "tokens", strconv.Itoa(tokens))
-	d.tr.End(span)
-}
-
-// countTokens sums context lengths for span annotations. Called on traced
-// paths only.
-func countTokens(ctxs [][]model.Token) int {
-	n := 0
-	for _, c := range ctxs {
-		n += len(c)
-	}
-	return n
 }

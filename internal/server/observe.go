@@ -188,7 +188,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			}
 			p.gauge("relm_batcher_breaker_open", "1 while the fusion circuit breaker is open.", l, open)
 			p.counter("relm_batcher_breaker_trips_total", "Circuit-breaker closed-to-open transitions.", l, b.BreakerTrips)
-			p.counter("relm_batcher_breaker_shed_total", "Requests shed to direct dispatch while open.", l, b.BreakerShed)
+			p.counter("relm_batcher_breaker_shed_total", "Requests shed to unfused dispatch while open.", l, b.BreakerShed)
 		}
 		if t := ms.Trace; t != nil {
 			p.counter("relm_trace_sampled_total", "Queries recorded as traces.", l, t.Sampled)

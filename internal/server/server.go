@@ -406,8 +406,8 @@ type BatcherBlock struct {
 	UrgentFlushes     int64   `json:"urgent_flushes"`
 	FairnessDeficit   int64   `json:"fairness_deficit"`
 	// Circuit breaker: "closed" or "open"; trips are closed→open
-	// transitions, shed is requests refused while open (they ran on the
-	// direct dispatch path instead).
+	// transitions, shed is requests refused while open (their callers ran
+	// them as unfused batches instead).
 	BreakerState string `json:"breaker_state"`
 	BreakerTrips int64  `json:"breaker_trips"`
 	BreakerShed  int64  `json:"breaker_shed"`

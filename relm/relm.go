@@ -341,7 +341,7 @@ type ModelOptions struct {
 	// (DESIGN.md decision 12): scoring calls from all sessions are packed
 	// into shared forwards up to MaxBatch, with fair-share accounting per
 	// session and deadline-aware priority (Session.SetQoS). Result streams
-	// are byte-identical to direct dispatch. Call Model.Close to drain the
+	// are byte-identical to unfused dispatch. Call Model.Close to drain the
 	// scheduler when done.
 	ContinuousBatching bool
 	// FusionWindow is the batcher's admission window (0: 200µs): how long
