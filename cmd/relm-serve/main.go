@@ -76,7 +76,7 @@ func main() {
 	kvBudget := flag.Int64("kv-budget", 0, "prefix-state arena byte budget per model (0 = default 64 MiB, negative disables incremental decoding)")
 	kvCompression := flag.String("kv-compression", "lossless", "KV-arena tiered compression: off, lossless (byte-identical results), or aggressive (2-byte rows, approximate)")
 	fusion := flag.Bool("fusion", true, "continuous cross-query batching: fuse scoring calls from all in-flight queries into shared device batches")
-	fusionWindow := flag.Duration("fusion-window", 0, "fusion admission window (0 = default 200µs)")
+	fusionWindow := flag.Duration("fusion-window", 0, "fusion admission window (0 = default 200µs); it applies only while some live query has no scoring call waiting — once every live query is waiting the batch flushes at once")
 	jobsDir := flag.String("jobs-dir", "", "run-ledger directory; enables the /v1/jobs validation-job API")
 	jobsActive := flag.Int("jobs-active", 2, "validation jobs running concurrently")
 	jobsQueued := flag.Int("jobs-queued", 16, "validation-job queue depth before submissions get 429")

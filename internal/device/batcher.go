@@ -36,6 +36,10 @@ import (
 //     (Config.Window); the queue flushes when the window expires, when
 //     pending rows reach the device batch cap (size watermark), or when an
 //     urgent request arrives.
+//   - Readiness: the window is only worth holding while some live session
+//     (Device.Engage) could still add rows. Once every engaged session has
+//     a request pending, the queue flushes at once — a lone query never
+//     waits out a window nobody can join.
 //   - Deadline awareness: a request whose QoS deadline is within
 //     Config.UrgentSlack preempts the window and is packed first (earliest
 //     deadline first), so a query near its deadline_ms budget jumps the
@@ -55,6 +59,10 @@ type Batcher struct {
 	active []*queryQueue // queues with pending requests, insertion order
 	rows   int           // pending rows across all queues
 	closed bool
+	// waiting maps each engaged session with a request not yet fully
+	// selected to its count of such requests; len(waiting) is the number
+	// of live sessions that cannot add rows until the next flush.
+	waiting map[*session]int
 
 	// counters (guarded by mu)
 	fusedBatches    int64
@@ -65,6 +73,7 @@ type Batcher struct {
 	sizeFlushes     int64
 	urgentFlushes   int64
 	drainFlushes    int64
+	readyFlushes    int64
 	peakQueueDepth  int
 	fairnessDeficit int64
 
@@ -92,7 +101,11 @@ type BatcherConfig struct {
 	// pending request hoping more queries contribute rows before it flushes
 	// a partial batch (default 200µs). Larger windows fuse better under low
 	// concurrency at the price of per-round latency; the size watermark and
-	// urgent requests always preempt it.
+	// urgent requests always preempt it, and so does readiness: the window
+	// applies only while some engaged session (Device.Engage) has no request
+	// pending. On an idle runtime a timer under 1ms fires after about 1ms
+	// (the netpoller's wait granularity), so a short window costs about 1ms
+	// per flush it paces.
 	Window time.Duration
 	// UrgentSlack is the deadline proximity that makes a request urgent: a
 	// QoS deadline within this much of now preempts the admission window and
@@ -146,11 +159,13 @@ type BatcherStats struct {
 	QueueDepth     int
 	PeakQueueDepth int
 	// Flush-reason counters: window expiry, size watermark, deadline
-	// preemption, and close-time drain.
+	// preemption, close-time drain, and readiness (every engaged session
+	// had a request pending, so no one was left to wait for).
 	WindowFlushes int64
 	SizeFlushes   int64
 	UrgentFlushes int64
 	DrainFlushes  int64
+	ReadyFlushes  int64
 	// FairnessDeficit is the served-row spread (max-min) across the queries
 	// that were still contending after the last selection — 0 means perfectly
 	// even service.
@@ -190,6 +205,7 @@ type request struct {
 	lm   model.LanguageModel
 	qos  QoS
 	key  string
+	sess *session // the submitting view's live session, nil if unengaged
 	enq  time.Time
 
 	ctxs   [][]model.Token     // forward / prefill / scoreAll inputs
@@ -266,6 +282,7 @@ func StartBatcher(d *Device, cfg BatcherConfig) *Batcher {
 		cfg:     cfg,
 		core:    d.c,
 		queues:  map[string]*queryQueue{},
+		waiting: map[*session]int{},
 		wake:    make(chan struct{}, 1),
 		closeCh: make(chan struct{}),
 		exited:  make(chan struct{}),
@@ -303,6 +320,7 @@ func (b *Batcher) Stats() BatcherStats {
 		SizeFlushes:       b.sizeFlushes,
 		UrgentFlushes:     b.urgentFlushes,
 		DrainFlushes:      b.drainFlushes,
+		ReadyFlushes:      b.readyFlushes,
 		FairnessDeficit:   b.fairnessDeficit,
 		BreakerState:      "closed",
 		BreakerTrips:      b.breakerTrips,
@@ -328,6 +346,7 @@ func (b *Batcher) submit(d *Device, r *request) bool {
 		return true
 	}
 	r.qos = d.qos
+	r.sess = d.sess
 	r.enq = time.Now()
 	r.remaining = n
 	r.done = make(chan struct{})
@@ -340,12 +359,17 @@ func (b *Batcher) submit(d *Device, r *request) bool {
 	if !b.enqueue(r) {
 		return false
 	}
+	b.kick()
+	<-r.done
+	return true
+}
+
+// kick wakes the scheduler to re-evaluate its flush triggers.
+func (b *Batcher) kick() {
 	select {
 	case b.wake <- struct{}{}:
 	default:
 	}
-	<-r.done
-	return true
 }
 
 // enqueue adds the request to its query's FIFO. Split from submit so tests
@@ -381,6 +405,9 @@ func (b *Batcher) enqueue(r *request) bool {
 		b.active = append(b.active, q)
 	}
 	q.reqs = append(q.reqs, r)
+	if r.sess != nil {
+		b.waiting[r.sess]++
+	}
 	b.rows += r.rowCount()
 	b.requests++
 	if b.rows > b.peakQueueDepth {
@@ -431,6 +458,13 @@ func (b *Batcher) oldestLocked() time.Time {
 	return oldest
 }
 
+// readyLocked reports whether every engaged session has a request pending:
+// no live session can add rows, so holding the window gains nothing.
+func (b *Batcher) readyLocked() bool {
+	engaged := b.core.engaged.Load()
+	return engaged > 0 && int64(len(b.waiting)) >= engaged
+}
+
 func (b *Batcher) urgentPendingLocked(now time.Time) bool {
 	for _, q := range b.active {
 		for _, r := range q.reqs {
@@ -463,7 +497,8 @@ func (b *Batcher) run() {
 		now := time.Now()
 		full := b.rows >= b.core.maxBatch
 		urgent := b.urgentPendingLocked(now)
-		if !full && !urgent && !b.closed {
+		ready := b.readyLocked()
+		if !full && !urgent && !ready && !b.closed {
 			if age := now.Sub(b.oldestLocked()); age < b.cfg.Window {
 				b.mu.Unlock()
 				t := time.NewTimer(b.cfg.Window - age)
@@ -483,6 +518,8 @@ func (b *Batcher) run() {
 			b.sizeFlushes++
 		case b.closed:
 			b.drainFlushes++
+		case ready:
+			b.readyFlushes++
 		default:
 			b.windowFlushes++
 		}
@@ -551,9 +588,18 @@ func (b *Batcher) selectLocked(now time.Time, cap int) *fusedBatch {
 		q.served += int64(take)
 		b.rows -= take
 		if r.next == r.rowCount() {
+			// Clear the slot: an idle queue outlives its query (its served
+			// account stays in b.queues), and a stale pointer in its
+			// backing array would pin the request's inputs and outputs.
+			q.reqs[0] = nil
 			q.reqs = q.reqs[1:]
 			if len(q.reqs) == 0 {
 				b.removeActiveLocked(q)
+			}
+			if r.sess != nil {
+				if b.waiting[r.sess]--; b.waiting[r.sess] == 0 {
+					delete(b.waiting, r.sess)
+				}
 			}
 		}
 	}

@@ -21,6 +21,7 @@ func newBareBatcher(d *Device, cfg BatcherConfig) *Batcher {
 		cfg:     cfg,
 		core:    d.c,
 		queues:  map[string]*queryQueue{},
+		waiting: map[*session]int{},
 		wake:    make(chan struct{}, 1),
 		closeCh: make(chan struct{}),
 		exited:  make(chan struct{}),

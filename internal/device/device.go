@@ -70,6 +70,10 @@ type core struct {
 	// Atomic so the dispatch hot path never takes the accounting mutex just
 	// to discover fusion is off.
 	batcher atomic.Pointer[Batcher]
+
+	// engaged counts live sessions (Engage minus releases): the principals
+	// that may still contribute rows to a pending fused batch.
+	engaged atomic.Int64
 }
 
 // Device executes language-model batches against a virtual clock.
@@ -83,6 +87,28 @@ type Device struct {
 	// instrumentation is then a single pointer check.
 	tr       *trace.Trace
 	trParent trace.SpanID
+
+	// sess, when set (Engage), is the live session this view scores for;
+	// every view derived from it carries the same token.
+	sess *session
+}
+
+// session is the token an engaged view carries. The batcher counts
+// distinct sessions with pending requests against core.engaged.
+type session struct {
+	c    *core
+	once sync.Once
+}
+
+// release disengages the session once and wakes the batcher, which may now
+// find every remaining live session waiting.
+func (s *session) release() {
+	s.once.Do(func() {
+		s.c.engaged.Add(-1)
+		if b := s.c.batcher.Load(); b != nil {
+			b.kick()
+		}
+	})
 }
 
 // QoS identifies the principal a view scores for. The fusion batcher uses
@@ -107,14 +133,34 @@ func New(lm model.LanguageModel, latency LatencyModel, maxBatch int) *Device {
 // per-query model wrapper (e.g. a cache attribution scope) through a shared
 // device: work done via any view is billed to the one virtual accelerator.
 func (d *Device) WithModel(lm model.LanguageModel) *Device {
-	return &Device{lm: lm, qos: d.qos, c: d.c, tr: d.tr, trParent: d.trParent}
+	v := *d
+	v.lm = lm
+	return &v
 }
 
 // WithQoS returns a view with the given scheduling identity: same model,
 // same shared core, but scoring calls made through it are accounted (and,
 // under fusion, prioritized) for q.
 func (d *Device) WithQoS(q QoS) *Device {
-	return &Device{lm: d.lm, qos: q, c: d.c, tr: d.tr, trParent: d.trParent}
+	v := *d
+	v.qos = q
+	return &v
+}
+
+// Engage returns a view that scores for a new live session, plus the
+// idempotent release that ends it. Under fusion the batcher holds a partial
+// batch only while some live session has no request waiting; once every
+// engaged session is waiting, no other session can add rows and the batch
+// flushes at once instead of sitting out the admission window (DESIGN.md
+// decision 12). Views derived from the returned one (WithModel, WithQoS,
+// WithTrace) belong to the same session. Views that were never engaged do
+// not count: while no session is live, the window alone paces flushes.
+func (d *Device) Engage() (*Device, func()) {
+	s := &session{c: d.c}
+	d.c.engaged.Add(1)
+	v := *d
+	v.sess = s
+	return &v, s.release
 }
 
 // Batcher returns the fusion scheduler attached to this device's core, or

@@ -680,6 +680,7 @@ func (m *Manager) runJob(j *Job, ctx context.Context) {
 		go func() {
 			defer wg.Done()
 			sess := j.model.NewSession()
+			defer sess.Close()
 			// Under continuous batching, all of a job's shard workers share
 			// one fair-share account so a wide job contends with interactive
 			// queries as one principal, not Workers-many (DESIGN.md

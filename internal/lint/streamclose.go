@@ -12,7 +12,10 @@ import (
 // the goroutine/context leak class PR 2 fixed by hand), and every
 // *kvcache.Handle must reach Release the same way (decision 14 — a leaked
 // handle pins its arena node forever, excluding it from demotion and
-// eviction, so the byte budget silently shrinks).
+// eviction, so the byte budget silently shrinks), and every *relm.Session
+// must reach Close (decision 12 — a leaked session counts as a live query
+// forever, so the fusion batcher holds every partial batch for the full
+// admission window again).
 //
 // The check is per-function and flow-insensitive: a tracked value produced
 // by a call must, somewhere in the same function (closures included), either
@@ -29,9 +32,9 @@ import (
 // //relm:allow(streamclose) with the audit rationale.
 var StreamClose = &Analyzer{
 	Name: "streamclose",
-	Doc: "every engine.Stream / relm.Results must reach Close, and every " +
-		"kvcache.Handle must reach Release, on all paths — or be explicitly " +
-		"ownership-transferred",
+	Doc: "every engine.Stream / relm.Results / relm.Session must reach Close, " +
+		"and every kvcache.Handle must reach Release, on all paths — or be " +
+		"explicitly ownership-transferred",
 	Run: runStreamClose,
 }
 
@@ -42,6 +45,7 @@ var streamTypes = []struct {
 	{"repro/internal/engine", "Stream", "Close"},
 	{"repro/relm", "Results", "Close"},
 	{"repro/internal/kvcache", "Handle", "Release"},
+	{"repro/relm", "Session", "Close"},
 }
 
 // releaseMethodOf returns the release-method name for a tracked type, or

@@ -1,9 +1,11 @@
-// Package streamclose is the fixture for the streamclose analyzer: streams
-// and arena handles that leak, owned results that are discarded outright,
+// Package streamclose is the fixture for the streamclose analyzer: streams,
+// arena handles and sessions that leak, owned results that are discarded outright,
 // and every sanctioned way of releasing or transferring ownership.
 package streamclose
 
 import (
+	"time"
+
 	"repro/internal/engine"
 	"repro/internal/kvcache"
 	"repro/internal/model"
@@ -161,4 +163,22 @@ func handoffHandleStore(a *kvcache.Arena, ctx []model.Token) *pinned {
 func handoffHandleArg(a *kvcache.Arena, ctx []model.Token, sink func(*kvcache.Handle)) {
 	h := a.Acquire(ctx)
 	sink(h)
+}
+
+// --- relm.Session: an open session keeps the fusion batcher waiting. ---
+
+// Positive: a session that never reaches Close counts as a live query for
+// the model's lifetime.
+func leakSession(m *relm.Model) {
+	sess := m.NewSession() // want `sess \(\*relm.Session\) is never Closed`
+	sess.SetQoS("q1", time.Time{})
+	_ = sess.Model
+}
+
+// Negative: deferred Close.
+func closedSession(m *relm.Model) {
+	sess := m.NewSession()
+	defer sess.Close()
+	sess.SetQoS("q1", time.Time{})
+	_ = sess.Model
 }

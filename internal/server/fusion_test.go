@@ -196,3 +196,36 @@ func TestBatcherShutdownDrainsWithoutLeak(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestSearchHandlerReleasesSession: under a 10-second fusion window, two
+// sequential queries each finish far inside the window. A lone query's
+// batches flush as soon as its session is waiting; if the first handler
+// left its session open, the second query's every flush would wait out the
+// window for a contributor that no longer exists.
+func TestSearchHandlerReleasesSession(t *testing.T) {
+	const window = 10 * time.Second
+	tok, lm := trainOnce()
+	m := relm.NewModel(lm, tok, relm.ModelOptions{
+		ContinuousBatching: true,
+		FusionWindow:       window,
+	})
+	t.Cleanup(m.Close)
+	s := New(Config{})
+	s.AddModel("test", m)
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		_, done := runQueryToEnd(t, ts, `{"pattern":" ((cat)|(dog))","prefix":"The","max_matches":3}`)
+		if done == nil || done.Matches == 0 {
+			t.Fatalf("query %d: done event %+v, want matches", i, done)
+		}
+		if el := time.Since(start); el > window/4 {
+			t.Fatalf("query %d took %v under a %v fusion window", i, el, window)
+		}
+	}
+	if bs := m.BatcherStats(); bs.ReadyFlushes == 0 || bs.WindowFlushes != 0 {
+		t.Errorf("batcher stats %+v, want only ready flushes", bs)
+	}
+}

@@ -181,6 +181,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			p.counter("relm_batcher_window_flushes_total", "Batches flushed by the fusion window.", l, b.WindowFlushes)
 			p.counter("relm_batcher_size_flushes_total", "Batches flushed at the size limit.", l, b.SizeFlushes)
 			p.counter("relm_batcher_urgent_flushes_total", "Batches flushed for deadline urgency.", l, b.UrgentFlushes)
+			p.counter("relm_batcher_ready_flushes_total", "Batches flushed early because every live query was waiting.", l, b.ReadyFlushes)
 			p.gauge("relm_batcher_fairness_deficit", "Fair-share deficit across accounts.", l, b.FairnessDeficit)
 			open := int64(0)
 			if b.BreakerState == "open" {

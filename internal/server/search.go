@@ -300,6 +300,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	id := s.nextID.Add(1)
 	sess := m.NewSession()
+	// Closing the session tells the fusion batcher this query can no longer
+	// add rows, so the remaining live queries need not wait for it.
+	defer sess.Close()
 	// QoS for the fusion batcher (DESIGN.md decision 12): the query ID is the
 	// fair-share account, and the HTTP deadline lets a query nearing its
 	// deadline_ms budget jump the admission queue. A no-op without fusion.

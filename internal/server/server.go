@@ -394,6 +394,8 @@ type TraceBlock struct {
 // BatcherBlock reports the fusion scheduler's counters: how much cross-query
 // packing the device is getting (occupancy, multi-query batches), how deep
 // the admission queue runs, why batches flushed, and the fair-share spread.
+// Ready flushes are batches sent before the window expired because every
+// live query already had a request pending.
 type BatcherBlock struct {
 	FusedBatches      int64   `json:"fused_batches"`
 	FusedRows         int64   `json:"fused_rows"`
@@ -404,6 +406,7 @@ type BatcherBlock struct {
 	WindowFlushes     int64   `json:"window_flushes"`
 	SizeFlushes       int64   `json:"size_flushes"`
 	UrgentFlushes     int64   `json:"urgent_flushes"`
+	ReadyFlushes      int64   `json:"ready_flushes"`
 	FairnessDeficit   int64   `json:"fairness_deficit"`
 	// Circuit breaker: "closed" or "open"; trips are closed→open
 	// transitions, shed is requests refused while open (their callers ran
@@ -537,6 +540,7 @@ func modelStats(n string, m *relm.Model) ModelStats {
 			WindowFlushes:     bs.WindowFlushes,
 			SizeFlushes:       bs.SizeFlushes,
 			UrgentFlushes:     bs.UrgentFlushes,
+			ReadyFlushes:      bs.ReadyFlushes,
 			FairnessDeficit:   bs.FairnessDeficit,
 			BreakerState:      bs.BreakerState,
 			BreakerTrips:      bs.BreakerTrips,

@@ -346,7 +346,9 @@ type ModelOptions struct {
 	ContinuousBatching bool
 	// FusionWindow is the batcher's admission window (0: 200µs): how long
 	// the scheduler holds a partial batch hoping more queries contribute
-	// rows. Only meaningful with ContinuousBatching.
+	// rows. It applies only while some open Session has no scoring call
+	// pending; once every open session is waiting the batch flushes at
+	// once. Only meaningful with ContinuousBatching.
 	FusionWindow time.Duration
 	// TraceSampling sets the fraction of queries recorded as structured
 	// span-tree traces into the model's bounded trace ring (DESIGN.md
@@ -540,26 +542,37 @@ func (m *Model) PlanCacheProbe() func() PlanCacheStats {
 // A query-serving layer opens one Session per request so overlapping query
 // frontiers deduplicate model calls while /v1/stats can still say which
 // query benefited (DESIGN.md decision 8).
+//
+// A session is live from NewSession until Close. Under continuous batching
+// the fusion scheduler holds a partial batch only while some live session
+// could still add rows to it; once every live session is waiting it flushes
+// at once, so a lone query never waits out the admission window. Close a
+// session when its queries are done: a session left open keeps counting as
+// a possible contributor and brings the window back for every other query
+// on the model (results stay identical either way).
 type Session struct {
 	// Model is the per-session view; pass it to Search/Explain/Mass.
-	Model *Model
-	scope *cache.Scope
+	Model   *Model
+	scope   *cache.Scope
+	release func()
 }
 
 // NewSession derives a session from the model. Without a cache the session
 // still gets its own Model view (so SetQoS never mutates the shared model),
 // but attribution degenerates to zeros.
 func (m *Model) NewSession() *Session {
+	dev, release := m.Dev.Engage()
 	if m.cache == nil {
 		view := *m
-		return &Session{Model: &view}
+		view.Dev = dev
+		return &Session{Model: &view, release: release}
 	}
 	scope := m.cache.NewScope()
 	return &Session{
 		Model: &Model{
 			LM:            m.LM,
 			Tok:           m.Tok,
-			Dev:           m.Dev.WithModel(scope),
+			Dev:           dev.WithModel(scope),
 			cache:         m.cache,
 			plans:         m.plans, // sessions share the model's compiled plans
 			kv:            m.kv,    // ... its prefix-state arena
@@ -567,9 +580,15 @@ func (m *Model) NewSession() *Session {
 			batcher:       m.batcher, // ... its fusion scheduler
 			tracer:        m.tracer,  // ... and its trace ring
 		},
-		scope: scope,
+		scope:   scope,
+		release: release,
 	}
 }
+
+// Close ends the session's claim on the fusion scheduler (see Session). The
+// session's Model stays usable, and CacheStats keeps reporting. Safe to
+// call more than once.
+func (s *Session) Close() { s.release() }
 
 // SetQoS names the query this session serves and sets its completion
 // deadline, for the fusion batcher's fair-share accounting and queue-jump
